@@ -5,7 +5,7 @@
 
 GO ?= go
 
-.PHONY: check build test race vet conformance bench-smoke smoke-serve smoke-recover smoke-admin smoke-failover fuzz-smoke bench-serve bench-matrix bench-native docs-check cross
+.PHONY: check build test race vet conformance bench-smoke smoke-serve smoke-recover smoke-admin smoke-failover fuzz-smoke bench-serve bench-matrix bench-native bench-test docs-check cross
 
 check: build vet test race conformance smoke-serve smoke-recover smoke-admin smoke-failover
 
@@ -81,6 +81,12 @@ bench-matrix:
 # KEYS/DURATION/CONNS/WINDOW/SCALE env vars.
 bench-native:
 	sh scripts/bench_native.sh BENCH_native.json
+
+# The benchmark lives in its own Go module (bench/), which the
+# root `go test ./...` and `make check` never reach: vet and test it
+# in place.
+bench-test:
+	cd bench && $(GO) vet ./... && $(GO) test ./...
 
 # Documentation gate: gofmt + vet + the godoc coverage test over
 # internal/serve + the PROTOCOL.md byte-for-byte conformance test.

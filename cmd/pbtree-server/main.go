@@ -53,6 +53,7 @@ import (
 	"net/http"
 	"os"
 	"os/signal"
+	"runtime/debug"
 	"syscall"
 	"time"
 
@@ -98,9 +99,6 @@ func main() {
 		writeTok   = flag.Int("write-tokens", 0, "admission budget for PUT/DEL (0 = 2x shards)")
 		scanTok    = flag.Int("scan-row-tokens", 0, "admission budget for concurrent SCAN rows (0 = 64k)")
 		queue      = flag.Int("queue", 0, "per-shard mutation queue length (0 = 1024)")
-		batch      = flag.Bool("batch", true, "merge concurrent GETs into group searches")
-		group      = flag.Int("group", 16, "max lookups per merged group search")
-		linger     = flag.Duration("linger", 50*time.Microsecond, "how long a group waits for stragglers")
 		drain      = flag.Duration("drain", 5*time.Second, "graceful shutdown budget")
 		dataDir    = flag.String("data-dir", "", "durable data directory (empty = in-memory only)")
 		fsync      = flag.String("fsync", "always", "WAL fsync policy: always|interval|never")
@@ -241,8 +239,6 @@ func main() {
 			WriteTokens:   *writeTok,
 			ScanRowTokens: *scanTok,
 		},
-		Batch:     *batch,
-		Batcher:   serve.BatcherConfig{MaxGroup: *group, Linger: *linger},
 		Metrics:   metrics,
 		Lifecycle: lc,
 	}
@@ -279,12 +275,19 @@ func main() {
 		logger.Info("admin plane up", "addr", ln.Addr().String())
 	}
 
-	logger.Info("serving",
-		"keys", st.Len(), "addr", srv.Addr().String(), "shards", st.Shards(),
-		"backend", *be, "width", *width, "batch", *batch, "stages", lc.Enabled)
-
+	// Install the handler before announcing readiness, so a SIGTERM
+	// sent on the "serving" line always drains cleanly.
 	sig := make(chan os.Signal, 1)
 	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
+	logger.Info("serving",
+		"keys", st.Len(), "addr", srv.Addr().String(), "shards", st.Shards(),
+		"backend", *be, "width", *width, "stages", lc.Enabled)
+	// The preload pairs and recovery scratch are garbage by now. Return
+	// their pages to the OS once, so the serving heap's growth toward
+	// its GC goal does not stack on top of them in RSS. In the
+	// background: the forced collection must not delay the first
+	// request.
+	go debug.FreeOSMemory()
 	s := <-sig
 	logger.Info("draining", "signal", s.String(), "budget", drain.String())
 	if adminSrv != nil {

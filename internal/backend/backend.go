@@ -97,6 +97,11 @@ type Stats struct {
 	// MemKeys is the number of memtable entries, tombstones included
 	// (lsm only).
 	MemKeys int
+
+	// DrainAbandons counts publications whose previous tree was still
+	// pinned by a reader after the drain bound, so the writer cloned
+	// the whole shard instead of recycling it (pbtree only).
+	DrainAbandons uint64
 }
 
 // Backend is one shard's storage engine. See the package comment for

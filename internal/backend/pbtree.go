@@ -15,6 +15,7 @@ import (
 	"sort"
 	"strings"
 	"sync/atomic"
+	"time"
 
 	"pbtree/internal/core"
 	"pbtree/internal/memsys"
@@ -41,12 +42,17 @@ func ParseSeq(name, prefix, suffix string) (uint64, bool) {
 	return v, true
 }
 
-// drainSpins bounds how many scheduler yields ApplyBatch spends
-// waiting for the previous snapshot's readers before giving the tree
-// up to them. Point reads drain in a handful of yields; anything still
-// pinned after this many is a long-lived reader (a streaming-scan
-// cursor) that may hold the snapshot for seconds.
-const drainSpins = 4096
+// drainBound bounds the wall-clock time ApplyBatch spends waiting for
+// the previous snapshot's readers before giving the tree up to them.
+// A point read holds its snapshot for microseconds, but the OS can
+// deschedule the reading thread mid-read for milliseconds when the
+// host's CPUs are oversubscribed; anything still pinned after this
+// long is a long-lived reader (a streaming-scan cursor) that may hold
+// the snapshot for seconds. Giving up costs an O(shard) clone, so the
+// bound must sit above a descheduled point read: on a 2-vCPU host
+// under point-read and durable-write load, 1, 3 and 5 ms still gave
+// up on point readers, 10 ms never did.
+const drainBound = 10 * time.Millisecond
 
 // pbSnapshot is one immutable published version. Readers acquire it
 // with a refcount so the writer knows when the previous tree can be
@@ -106,6 +112,10 @@ type PBTree struct {
 
 	snap  atomic.Pointer[pbSnapshot]
 	spare *core.Tree // writer-owned; equals the published contents
+
+	// abandons counts batches whose previous tree was still pinned
+	// after drainBound and was cloned around instead of recycled.
+	abandons atomic.Uint64
 
 	// Recovery-phase state, discarded at Seal.
 	rec  *core.Tree  // scratch replay tree (checkpoint + WAL tail)
@@ -250,19 +260,15 @@ func (b *PBTree) ApplyBatch(ws []Write, version, _ uint64, ack func(error)) erro
 	// Acks fire as soon as the write is visible to new readers.
 	ack(cloneErr)
 	// Recycle the previous tree once its readers drain, replaying the
-	// batch so it catches up to the published contents. The drain spin
-	// is bounded: a long-lived reader (a streaming-scan cursor pinning
-	// the snapshot for seconds) must not wedge the write path, so after
-	// drainSpins yields the applier abandons the old tree to its readers
-	// — the GC reclaims it when the last Release lands — and clones the
+	// batch so it catches up to the published contents. The drain is
+	// bounded: a long-lived reader (a streaming-scan cursor pinning the
+	// snapshot for seconds) must not wedge the write path, so after
+	// drainBound the applier abandons the old tree to its readers — the
+	// GC reclaims it when the last Release lands — and clones the
 	// published tree into a fresh spare instead.
-	drained := true
-	for spin := 0; old.refs.Load() != 0; spin++ {
-		if spin >= drainSpins {
-			drained = false
-			break
-		}
-		runtime.Gosched()
+	drained := drain(old)
+	if !drained {
+		b.abandons.Add(1)
 	}
 	if !drained || compact {
 		if nt, err := b.spare.CloneFrozen(b.fill); err == nil {
@@ -282,6 +288,19 @@ func (b *PBTree) ApplyBatch(ws []Write, version, _ uint64, ack func(error)) erro
 	}
 	b.spare = recycled
 	return nil
+}
+
+// drain yields until s has no readers, giving up after drainBound. It
+// reports whether the readers drained.
+func drain(s *pbSnapshot) bool {
+	deadline := time.Now().Add(drainBound)
+	for s.refs.Load() != 0 {
+		if time.Now().After(deadline) {
+			return false
+		}
+		runtime.Gosched()
+	}
+	return true
 }
 
 // Snapshot implements Backend. The increment-then-revalidate dance
@@ -343,10 +362,11 @@ func (b *PBTree) Checkpoint(lsn uint64) error {
 func (b *PBTree) Stats() Stats {
 	s := b.snap.Load()
 	return Stats{
-		Backend: "pbtree",
-		Version: s.version,
-		Count:   s.count,
-		Height:  s.tree.Height(),
+		Backend:       "pbtree",
+		Version:       s.version,
+		Count:         s.count,
+		Height:        s.tree.Height(),
+		DrainAbandons: b.abandons.Load(),
 	}
 }
 

@@ -7,12 +7,11 @@ package obs
 // simulator side does that in cycles (Collector, the per-level stall
 // tables); this file does it one layer up, in wall-clock nanoseconds,
 // for the serving pipeline: every request carries a Span that is
-// stamped at fixed pipeline stages (decode, admission, batcher wait,
-// shard-queue wait, WAL append, WAL fsync, backend apply, ...), and
-// the per-stage deltas feed per-stage × per-op-class Histograms in
-// Metrics. The instrumentation is allocation-free past the pooled
-// Span itself: a stage stamp is one monotonic clock read plus one
-// atomic add.
+// stamped at fixed pipeline stages (decode, admission, shard-queue
+// wait, WAL append, WAL fsync, backend apply, ...), and the per-stage
+// deltas feed per-stage × per-op-class Histograms in Metrics. The
+// instrumentation is allocation-free past the pooled Span itself: a
+// stage stamp is one monotonic clock read plus one atomic add.
 
 import (
 	"sync/atomic"
@@ -42,11 +41,6 @@ const (
 	// with the lock-free budgets this measures CAS contention).
 	StageAdmission
 
-	// StageBatchWait is the cross-request GET batcher: rendezvous with
-	// the shard gatherer, the linger window, and the group search
-	// itself, up to the reply.
-	StageBatchWait
-
 	// StageQueueWait is the time a mutation sat in its shard's
 	// mutation queue before the shard writer picked it up.
 	StageQueueWait
@@ -65,8 +59,8 @@ const (
 	// store call here — see Span.StoreStagesNS).
 	StageApply
 
-	// StageExec is read-path execution outside the batcher: direct
-	// snapshot lookups, MGET group searches, scans and merges.
+	// StageExec is read-path execution: GET snapshot lookups, MGET
+	// group searches, scans and merges.
 	StageExec
 
 	// StageRespQueue is the wait in the response-writer queue of a
@@ -92,9 +86,8 @@ const (
 
 // stageNames are the metric label values, in Stage order.
 var stageNames = [NumStages]string{
-	"read", "decode", "admission", "batch_wait", "queue_wait",
-	"wal_append", "wal_fsync", "apply", "exec", "resp_queue",
-	"write", "other",
+	"read", "decode", "admission", "queue_wait", "wal_append",
+	"wal_fsync", "apply", "exec", "resp_queue", "write", "other",
 }
 
 // String returns the stage's metric label ("decode", "wal_fsync", ...).

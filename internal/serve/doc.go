@@ -11,11 +11,13 @@
 //     with an atomic.Pointer swap, so every read runs against an
 //     immutable snapshot (copy-on-write publication, single-writer /
 //     many-reader).
-//   - Batcher collects concurrent point lookups into per-shard groups
-//     and executes them with core.Tree.SearchBatch, the group-
-//     pipelined search whose node fetches overlap in memory — the
-//     serving-layer generalization of the paper's whole-node prefetch
-//     (measured in the simulated `mget` experiment of internal/exp).
+//   - Store.MGet groups one request's keys by shard and executes each
+//     group with core.Tree.SearchBatch, the group-pipelined search
+//     whose node fetches overlap in memory — the serving-layer
+//     generalization of the paper's whole-node prefetch (measured in
+//     the simulated `mget` experiment of internal/exp). A GET runs
+//     inline on the worker that dequeued it; independent GETs are
+//     never held back to form a group.
 //   - DurableStore layers per-shard write-ahead logs and checkpoints
 //     (wal.go, durable.go) under the Store so a crash loses nothing
 //     that was acknowledged.

@@ -4,9 +4,9 @@ package serve
 //
 // When ServerConfig.Lifecycle.Enabled is set, every request carries a
 // pooled obs.Span that is stamped at the fixed pipeline stages (frame
-// read, decode, admission, batcher wait, shard-queue wait, WAL
-// append, WAL fsync, backend apply, read execution, response-writer
-// queue, connection write). The deltas feed three sinks:
+// read, decode, admission, shard-queue wait, WAL append, WAL fsync,
+// backend apply, read execution, response-writer queue, connection
+// write). The deltas feed three sinks:
 //
 //   - per-stage × per-op-class histograms in the shared obs.Metrics
 //     (Prometheus via the admin endpoint, expvar, and the STATS

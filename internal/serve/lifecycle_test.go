@@ -27,7 +27,7 @@ func startTracedServer(t *testing.T, n int, lc LifecycleConfig) (*Server, string
 }
 
 // driveMix runs every op class against addr so all stage families have
-// samples.
+// samples, and returns once every one of them has been observed.
 func driveMix(t *testing.T, addr string) {
 	t.Helper()
 	cl, err := Dial(addr)
@@ -55,22 +55,27 @@ func driveMix(t *testing.T, addr string) {
 	if err := cl.Del(7); err != nil {
 		t.Fatal(err)
 	}
+	// Barrier: the connection's writer finalizes each span after
+	// writing its response and before taking the next one, so once the
+	// (unobserved) STATS reply arrives every span above is recorded.
+	if _, err := cl.Stats(); err != nil {
+		t.Fatal(err)
+	}
 }
 
 func TestLifecycleStageHistograms(t *testing.T) {
 	_, addr, metrics := startTracedServer(t, 5000, LifecycleConfig{})
 	driveMix(t, addr)
 
-	// Reads attribute exec (or batch_wait) time; writes must carry the
-	// writer-stamped durability-path stages even without a WAL
+	// Every read attributes its execution to exec; writes must carry
+	// the writer-stamped durability-path stages even without a WAL
 	// (queue_wait and apply always, wal_* only when durable).
-	if s := metrics.StageTotalSnapshot(core.OpSearch); s.Count < 20 {
-		t.Fatalf("search totals = %d, want >= 20", s.Count)
+	total := metrics.StageTotalSnapshot(core.OpSearch).Count
+	if total < 20 {
+		t.Fatalf("search totals = %d, want >= 20", total)
 	}
-	exec := metrics.StageSnapshot(core.OpSearch, obs.StageExec).Count +
-		metrics.StageSnapshot(core.OpSearch, obs.StageBatchWait).Count
-	if exec == 0 {
-		t.Fatal("no exec/batch_wait samples for search")
+	if exec := metrics.StageSnapshot(core.OpSearch, obs.StageExec).Count; exec != total {
+		t.Fatalf("search exec samples = %d, want one per search (%d)", exec, total)
 	}
 	for _, st := range []obs.Stage{obs.StageQueueWait, obs.StageApply} {
 		if s := metrics.StageSnapshot(core.OpInsert, st); s.Count == 0 {
@@ -114,6 +119,9 @@ func TestLifecyclePipelinedAndStats(t *testing.T) {
 		}()
 	}
 	wg.Wait()
+	if _, err := cl.Stats(); err != nil { // barrier, as in driveMix
+		t.Fatal(err)
+	}
 
 	// The pipelined path stamps resp_queue and write on the writer
 	// goroutine.

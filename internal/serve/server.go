@@ -61,14 +61,6 @@ type ServerConfig struct {
 	// ends).
 	CursorTimeout time.Duration
 
-	// Batch enables the cross-request Batcher for GET requests, so
-	// concurrent point lookups from different connections merge into
-	// group searches.
-	Batch bool
-
-	// Batcher tunes the gatherers when Batch is set.
-	Batcher BatcherConfig
-
 	// Metrics, when non-nil, records per-operation wall-clock
 	// latencies (GET/MGET as OpSearch, SCAN as OpScan, PUT as
 	// OpInsert, DEL as OpDelete) and admission budget occupancy.
@@ -104,11 +96,10 @@ type Server struct {
 	st  *Store
 	cfg ServerConfig
 
-	ln      net.Listener
-	batcher *Batcher
-	adm     *admission
-	lc      *lifecycle  // nil when lifecycle tracing is disabled
-	pool    *workerPool // nil when DataPlane is DataPlaneGoroutine
+	ln   net.Listener
+	adm  *admission
+	lc   *lifecycle  // nil when lifecycle tracing is disabled
+	pool *workerPool // nil when DataPlane is DataPlaneGoroutine
 
 	mu     sync.Mutex
 	conns  map[net.Conn]struct{}
@@ -163,7 +154,6 @@ type ServerStats struct {
 	Cursors   CursorStats            `json:"cursors"`         // streaming-scan cursor occupancy
 	Budgets   map[string]BudgetStats `json:"budgets"`         // admission occupancy per class
 	Store     StoreStats             `json:"store"`           // per-shard store counters
-	BatchGets bool                   `json:"batch_gets"`      // whether GETs ride the Batcher
 
 	// Stages and StageTotals carry the request-lifecycle attribution
 	// when lifecycle tracing is enabled (empty maps otherwise, never
@@ -228,9 +218,6 @@ func (s *Server) Start() error {
 	}
 	s.ln = ln
 	s.started = time.Now()
-	if s.cfg.Batch {
-		s.batcher = NewBatcher(s.st, s.cfg.Batcher)
-	}
 	if s.cfg.DataPlane == DataPlanePool {
 		s.pool = newWorkerPool(s.cfg.PoolSize, s.cfg.Metrics)
 	}
@@ -306,9 +293,6 @@ func (s *Server) Shutdown(timeout time.Duration) error {
 	}
 	if s.pool != nil {
 		s.pool.close()
-	}
-	if s.batcher != nil {
-		s.batcher.Close()
 	}
 	err = errors.Join(err, s.lc.closeTrace())
 	return err
@@ -568,30 +552,21 @@ func metricOpOf(op Op) core.OpKind {
 }
 
 // execute runs a decoded, admitted request against the store. Read
-// ops mark StageBatchWait/StageExec themselves; write ops are stamped
-// by the shard writers (queue_wait, wal_append, wal_fsync, apply) via
-// the span handed into the store, so execute only advances the clock
-// past the blocking call with Touch.
+// ops mark StageExec themselves; write ops are stamped by the shard
+// writers (queue_wait, wal_append, wal_fsync, apply) via the span
+// handed into the store, so execute only advances the clock past the
+// blocking call with Touch.
 func (s *Server) execute(req *Request, sp *obs.Span, cs *connCursors) *Response {
 	switch req.Op {
 	case OpGet:
-		var l Lookup
-		if s.batcher != nil {
-			l = s.batcher.Get(req.Keys[0])
-			if sp != nil {
-				sp.Mark(obs.StageBatchWait)
-			}
-		} else {
-			tid, ok := s.st.Get(req.Keys[0])
-			l = Lookup{TID: tid, Found: ok}
-			if sp != nil {
-				sp.Mark(obs.StageExec)
-			}
+		tid, ok := s.st.Get(req.Keys[0])
+		if sp != nil {
+			sp.Mark(obs.StageExec)
 		}
-		if !l.Found {
+		if !ok {
 			return &Response{Status: StatusNotFound}
 		}
-		return &Response{Status: StatusOK, Lookups: []Lookup{l}}
+		return &Response{Status: StatusOK, Lookups: []Lookup{{TID: tid, Found: true}}}
 	case OpMGet:
 		out := make([]Lookup, len(req.Keys))
 		s.st.MGet(req.Keys, out)
@@ -730,7 +705,6 @@ func (s *Server) statsLocked() ServerStats {
 		Cursors:     s.cursorStats(),
 		Budgets:     s.adm.stats(),
 		Store:       s.st.Stats(),
-		BatchGets:   s.batcher != nil,
 		Stages:      s.stageStats(),
 		StageTotals: s.stageTotalStats(),
 	}

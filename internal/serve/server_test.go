@@ -105,36 +105,65 @@ func TestServerEndToEnd(t *testing.T) {
 	}
 }
 
-func TestServerBatchedGets(t *testing.T) {
-	const n = 5000
-	srv, addr := startServer(t, n, ServerConfig{Batch: true, Batcher: BatcherConfig{MaxGroup: 8, Linger: 200 * time.Microsecond}})
-	// Concurrent clients: their GETs should merge into group searches.
+// TestServerConcurrentGets drives GETs from many connections, two
+// callers pipelined on each, while PUTs land on keys no reader asks
+// for: every GET must return its own key's TID, and every acked PUT
+// must be readable afterwards.
+func TestServerConcurrentGets(t *testing.T) {
+	const n, conns, callers, puts = 5000, 8, 2, 300
+	_, addr := startServer(t, n, ServerConfig{Admission: AdmissionConfig{ReadTokens: 64, WriteTokens: 64}})
 	var wg sync.WaitGroup
-	for c := 0; c < 8; c++ {
+	for c := 0; c < conns; c++ {
+		cl, err := Dial(addr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer cl.Close()
+		for g := 0; g < callers; g++ {
+			wg.Add(1)
+			go func(seed uint32) {
+				defer wg.Done()
+				x := seed
+				for i := 0; i < 300; i++ {
+					x = x*1664525 + 1013904223
+					k := core.Key(8 * (1 + x%n))
+					tid, ok, err := cl.Get(k)
+					if err != nil || !ok || uint32(tid) != uint32(k)/8 {
+						t.Errorf("Get(%d) = (%d, %v, %v)", k, tid, ok, err)
+						return
+					}
+				}
+			}(uint32(c*callers + g + 1))
+		}
+	}
+	// Writers: keys 8i+4 sit between the preloaded multiples of 8.
+	for w := 0; w < 2; w++ {
+		cl, err := Dial(addr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer cl.Close()
 		wg.Add(1)
-		go func(seed uint32) {
+		go func(w int) {
 			defer wg.Done()
-			cl, err := Dial(addr)
-			if err != nil {
-				t.Error(err)
-				return
-			}
-			defer cl.Close()
-			x := seed
-			for i := 0; i < 300; i++ {
-				x = x*1664525 + 1013904223
-				k := core.Key(8 * (1 + x%n))
-				tid, ok, err := cl.Get(k)
-				if err != nil || !ok || uint32(tid) != uint32(k)/8 {
-					t.Errorf("Get(%d) = (%d, %v, %v)", k, tid, ok, err)
+			for i := w; i < puts; i += 2 {
+				if err := cl.Put(core.Pair{Key: core.Key(8*i + 4), TID: core.TID(i)}); err != nil {
+					t.Errorf("Put(%d): %v", 8*i+4, err)
 					return
 				}
 			}
-		}(uint32(c + 1))
+		}(w)
 	}
 	wg.Wait()
-	if srv.batcher == nil {
-		t.Fatal("Batch: true did not enable the batcher")
+	cl, err := Dial(addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cl.Close()
+	for i := 0; i < puts; i++ {
+		if tid, ok, err := cl.Get(core.Key(8*i + 4)); err != nil || !ok || tid != core.TID(i) {
+			t.Fatalf("Get(%d) after puts = (%d, %v, %v)", 8*i+4, tid, ok, err)
+		}
 	}
 }
 
@@ -222,7 +251,7 @@ func TestServerGracefulShutdown(t *testing.T) {
 }
 
 func TestLoadgenAgainstServer(t *testing.T) {
-	_, addr := startServer(t, 10_000, ServerConfig{Batch: true})
+	_, addr := startServer(t, 10_000, ServerConfig{})
 	rep, err := RunLoadgen(LoadgenConfig{
 		Addr:     addr,
 		Conns:    4,
@@ -264,7 +293,6 @@ func TestLoadgenAgainstServer(t *testing.T) {
 func TestLoadgenStageAttribution(t *testing.T) {
 	metrics := obs.NewMetrics()
 	_, addr := startServer(t, 10_000, ServerConfig{
-		Batch:     true,
 		Metrics:   metrics,
 		Lifecycle: LifecycleConfig{Enabled: true},
 	})

@@ -6,6 +6,7 @@ import (
 	"io"
 	"path"
 	"runtime"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -966,17 +967,18 @@ func mergeRuns(runs [][]core.Pair, limit int) []core.Pair {
 
 // ShardStats is a point-in-time view of one shard.
 type ShardStats struct {
-	Backend    string `json:"backend"`               // storage engine name
-	Version    uint64 `json:"version"`               // snapshot version last published
-	Count      int    `json:"count"`                 // keys in the published snapshot
-	QueueDepth int    `json:"queue_depth"`           // mutations waiting for the shard writer
-	Puts       uint64 `json:"puts"`                  // puts applied since start
-	Deletes    uint64 `json:"deletes"`               // deletes applied since start
-	Published  uint64 `json:"published"`             // snapshot publications since start
-	Height     int    `json:"height"`                // tree height of the published snapshot (pbtree)
-	Runs       int    `json:"runs,omitempty"`        // immutable sorted runs (lsm)
-	MemKeys    int    `json:"mem_keys,omitempty"`    // memtable entries, tombstones included (lsm)
-	DurableErr string `json:"durable_err,omitempty"` // last WAL/checkpoint/recovery error
+	Backend       string `json:"backend"`               // storage engine name
+	Version       uint64 `json:"version"`               // snapshot version last published
+	Count         int    `json:"count"`                 // keys in the published snapshot
+	QueueDepth    int    `json:"queue_depth"`           // mutations waiting for the shard writer
+	Puts          uint64 `json:"puts"`                  // puts applied since start
+	Deletes       uint64 `json:"deletes"`               // deletes applied since start
+	Published     uint64 `json:"published"`             // snapshot publications since start
+	Height        int    `json:"height"`                // tree height of the published snapshot (pbtree)
+	Runs          int    `json:"runs,omitempty"`        // immutable sorted runs (lsm)
+	MemKeys       int    `json:"mem_keys,omitempty"`    // memtable entries, tombstones included (lsm)
+	DrainAbandons uint64 `json:"drain_abandons"`        // pinned trees cloned around instead of recycled (pbtree)
+	DurableErr    string `json:"durable_err,omitempty"` // last WAL/checkpoint/recovery error
 }
 
 // StoreStats aggregates the shard views.
@@ -993,16 +995,17 @@ func (st *Store) Stats() StoreStats {
 		sh.waitReady()
 		bs := sh.be.Stats()
 		out.Shards[i] = ShardStats{
-			Backend:    bs.Backend,
-			Version:    bs.Version,
-			Count:      bs.Count,
-			QueueDepth: len(sh.ops),
-			Puts:       sh.puts.Load(),
-			Deletes:    sh.dels.Load(),
-			Published:  sh.published.Load(),
-			Height:     bs.Height,
-			Runs:       bs.Runs,
-			MemKeys:    bs.MemKeys,
+			Backend:       bs.Backend,
+			Version:       bs.Version,
+			Count:         bs.Count,
+			QueueDepth:    len(sh.ops),
+			Puts:          sh.puts.Load(),
+			Deletes:       sh.dels.Load(),
+			Published:     sh.published.Load(),
+			Height:        bs.Height,
+			Runs:          bs.Runs,
+			MemKeys:       bs.MemKeys,
+			DrainAbandons: bs.DrainAbandons,
 		}
 		if e := sh.durErr.Load(); e != nil {
 			out.Shards[i].DurableErr = *e
@@ -1024,12 +1027,13 @@ func (st *Store) Ready() bool {
 	return true
 }
 
-// WriteMetrics writes the per-shard gauges in the Prometheus text
+// WriteMetrics writes the per-shard families in the Prometheus text
 // exposition format: readiness, mutation-queue depth, snapshot age,
-// WAL backlog since the last checkpoint, key count and (lsm) run
-// count. It never blocks on a recovering shard — engine statistics
-// are skipped until the shard is up, so /metrics stays responsive
-// during recovery.
+// WAL backlog since the last checkpoint, key count, (lsm) run count
+// and the (pbtree) drain-abandonment counter. It never blocks on a
+// recovering shard — engine statistics are skipped until the shard is
+// up, so /metrics stays responsive during recovery. Families named
+// *_total are counters, the rest gauges.
 func (st *Store) WriteMetrics(w io.Writer) error {
 	type gauge struct {
 		name, help string
@@ -1069,9 +1073,20 @@ func (st *Store) WriteMetrics(w io.Writer) error {
 			}
 			return float64(sh.be.Stats().Runs), true
 		}})
+	} else {
+		gauges = append(gauges, gauge{"pbtree_shard_drain_abandons_total", "Publications whose previous tree was still pinned after the drain bound and was cloned around.", func(sh *shard, ready bool) (float64, bool) {
+			if !ready {
+				return 0, false
+			}
+			return float64(sh.be.Stats().DrainAbandons), true
+		}})
 	}
 	for _, g := range gauges {
-		if _, err := fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s gauge\n", g.name, g.help, g.name); err != nil {
+		typ := "gauge"
+		if strings.HasSuffix(g.name, "_total") {
+			typ = "counter"
+		}
+		if _, err := fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s %s\n", g.name, g.help, g.name, typ); err != nil {
 			return err
 		}
 		for i, sh := range st.shards {

@@ -358,9 +358,6 @@ type (
 	// ServerStats is the JSON payload of a STATS request.
 	ServerStats = serve.ServerStats
 
-	// BatcherConfig tunes the server's cross-request lookup batching.
-	BatcherConfig = serve.BatcherConfig
-
 	// AdmissionConfig sets the server's per-op-class admission token
 	// budgets (GET/MGET and PUT/DEL hold one token each, SCANs hold
 	// one per requested row), so overload rejects expensive work first.

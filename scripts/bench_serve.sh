@@ -10,7 +10,7 @@
 # The server runs with lifecycle stage tracing on (the default), so
 # both reports carry the server_stages attribution tables: per op
 # class, how the server-side time splits across decode / admission /
-# batch_wait / queue_wait / apply / exec / resp_queue / write. The
+# queue_wait / apply / exec / resp_queue / write. The
 # pipelined-vs-sequential share shift names the stage behind the
 # pipelining p99 inflation (EXPERIMENTS.md).
 #

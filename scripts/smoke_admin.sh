@@ -60,12 +60,13 @@ fetch /debug/vars >"$tmp/vars" || { echo "smoke-admin: /debug/vars failed under 
 wait "$load" || { echo "smoke-admin: loadgen failed"; exit 1; }
 
 for family in pbtree_op_latency_seconds pbtree_stage_latency_seconds \
-    pbtree_request_latency_seconds pbtree_shard_queue_depth pbtree_shard_ready; do
+    pbtree_request_latency_seconds pbtree_shard_queue_depth pbtree_shard_ready \
+    pbtree_shard_drain_abandons_total; do
     grep -q "$family" "$tmp/metrics" \
         || { echo "smoke-admin: /metrics missing $family"; head -40 "$tmp/metrics"; exit 1; }
 done
-grep -q 'stage="wal_fsync"\|stage="exec"\|stage="batch_wait"' "$tmp/metrics" \
-    || { echo "smoke-admin: no per-stage samples in /metrics"; exit 1; }
+grep -q 'op="search",stage="exec"' "$tmp/metrics" \
+    || { echo "smoke-admin: no search exec samples in /metrics"; exit 1; }
 grep -q '"server_stages"' "$tmp/statsz" \
     || { echo "smoke-admin: /statsz missing server_stages"; head -20 "$tmp/statsz"; exit 1; }
 grep -q '"pbtree"' "$tmp/vars" \
